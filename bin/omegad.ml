@@ -25,7 +25,8 @@ let () =
       ( "--cache-size",
         Arg.Int
           (fun n -> set (fun c -> { c with Serve.Server.cache_capacity = n })),
-        "N  whole-answer cache entries (default 256)" );
+        "N  answer-cache entries, one per query and option set, shared by \
+         every `at` (default 256)" );
       ( "--cache-ttl-s",
         Arg.Float
           (fun s ->

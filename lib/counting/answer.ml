@@ -2,8 +2,9 @@
 
    Extracted from omcount so the server returns byte-identical bodies:
    omcount prints these strings to stdout, omegad embeds them in its
-   response frames and caches them verbatim. Any change here changes
-   the published schema of both. *)
+   response frames, and its answer cache keeps [value_json] so a hit
+   only re-evaluates [eval]. Any change here changes the published
+   schema of both. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -29,16 +30,19 @@ let eval_num bindings v =
   | q -> Qnum.to_zint q
   | exception Not_found -> None
 
+let value_json value = json_escape (Value.to_string value)
+
+let complete_body ~at ~value_json value =
+  let eval =
+    match eval_num at value with
+    | Some z -> ",\"eval\":" ^ Zint.to_string z
+    | None -> ""
+  in
+  String.concat ""
+    [ "{\"status\":\"complete\",\"value\":\""; value_json; "\""; eval; "}" ]
+
 let complete_json ~at value =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"status\":\"complete\",\"value\":\"%s\""
-       (json_escape (Value.to_string value)));
-  (match eval_num at value with
-  | Some z -> Buffer.add_string b (Printf.sprintf ",\"eval\":%s" (Zint.to_string z))
-  | None -> ());
-  Buffer.add_string b "}";
-  Buffer.contents b
+  complete_body ~at ~value_json:(value_json value) value
 
 let partial_json ~at (p : Governor.partial) =
   let b = Buffer.create 512 in

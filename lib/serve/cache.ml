@@ -1,4 +1,4 @@
-(* Whole-answer cache — see cache.mli. *)
+(* Answer cache — see cache.mli. *)
 
 let m_hits = Obs.Metrics.counter "serve.cache_hits"
 
@@ -8,19 +8,19 @@ let m_evictions = Obs.Metrics.counter "serve.cache_evictions"
 
 let m_entries = Obs.Metrics.gauge "serve.cache_entries"
 
-type node = {
+type 'a node = {
   key : string;
-  body : string;
+  payload : 'a;
   expires_at : float;  (* infinity when no TTL *)
-  mutable prev : node option;  (* toward head = most recent *)
-  mutable next : node option;  (* toward tail = least recent *)
+  mutable prev : 'a node option;  (* toward head = most recent *)
+  mutable next : 'a node option;  (* toward tail = least recent *)
 }
 
-type t = {
+type 'a t = {
   mu : Mutex.t;
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;
-  mutable tail : node option;
+  tbl : (string, 'a node) Hashtbl.t;
+  mutable head : 'a node option;
+  mutable tail : 'a node option;
   capacity : int;
   ttl_s : float option;
 }
@@ -65,7 +65,7 @@ let find t key =
         unlink t n;
         push_front t n;
         Obs.Metrics.incr m_hits;
-        Some n.body
+        Some n.payload
     | Some n ->
         (* Expired: treat as a miss and reclaim the slot. *)
         drop t n;
@@ -79,7 +79,7 @@ let find t key =
   Mutex.unlock t.mu;
   r
 
-let add t key body =
+let add t key payload =
   Mutex.lock t.mu;
   (match Hashtbl.find_opt t.tbl key with Some n -> drop t n | None -> ());
   let expires_at =
@@ -87,7 +87,7 @@ let add t key body =
     | Some ttl -> Unix.gettimeofday () +. ttl
     | None -> infinity
   in
-  let n = { key; body; expires_at; prev = None; next = None } in
+  let n = { key; payload; expires_at; prev = None; next = None } in
   Hashtbl.replace t.tbl key n;
   push_front t n;
   while Hashtbl.length t.tbl > t.capacity do
@@ -133,9 +133,10 @@ let length t =
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                          *)
 
-let key ~fingerprint ~opts ~merge ~certify ~at =
-  let b = Buffer.create 96 in
-  Buffer.add_string b fingerprint;
+(* The option fields and flags that change an answer, appended to
+   either key. Their names and values come from fixed enumerations and
+   contain no '|'. *)
+let add_options b ~opts ~merge ~certify =
   List.iter
     (fun (k, v) ->
       Buffer.add_char b '|';
@@ -144,7 +145,29 @@ let key ~fingerprint ~opts ~merge ~certify ~at =
       Buffer.add_string b v)
     (Counting.Engine.opts_fields opts);
   Buffer.add_string b (if merge then "|m1" else "|m0");
-  Buffer.add_string b (if certify then "|c1" else "|c0");
+  Buffer.add_string b (if certify then "|c1" else "|c0")
+
+(* Length-prefixed, so a part that contains a separator (a formula may
+   contain '|' and line breaks) cannot run into the next part. *)
+let add_part b s =
+  Buffer.add_string b (string_of_int (String.length s));
+  Buffer.add_char b ':';
+  Buffer.add_string b s
+
+let query_key ~opts ~merge ~certify ~minted (q : Preslang.query) =
+  let formula = Presburger.Formula.to_string q.Preslang.formula in
+  let b = Buffer.create (String.length formula + 128) in
+  add_part b (String.concat "," q.Preslang.vars);
+  add_part b formula;
+  add_part b (Qpoly.to_string q.Preslang.summand);
+  add_part b (string_of_int minted);
+  add_options b ~opts ~merge ~certify;
+  Buffer.contents b
+
+let key ~fingerprint ~opts ~merge ~certify ~at =
+  let b = Buffer.create 96 in
+  Buffer.add_string b fingerprint;
+  add_options b ~opts ~merge ~certify;
   List.iter
     (fun (n, z) ->
       Buffer.add_char b '@';

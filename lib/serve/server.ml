@@ -35,19 +35,29 @@ let default_config =
 
 type conn = {
   fd : Unix.file_descr;
-  rbuf : Buffer.t;  (* partial-line accumulator; main loop only *)
+  rbuf : Buffer.t;  (* unterminated line so far; main loop only *)
   wmu : Mutex.t;  (* guards writes and [alive] *)
   mutable alive : bool;
 }
 
 type job = { jconn : conn; jid : J.t; jreq : Proto.query_req }
 
+(* A cached answer: the merged symbolic value, its escaped ["value"]
+   string, and the engine events a certified request recorded. Every
+   field is immutable, so handler domains share entries freely. *)
+type entry = {
+  value : Counting.Value.t;
+  value_json : string;
+  recorded : (Cert.event list * int) option;
+}
+
 type t = {
   cfg : config;
   queue : job Admission.t;
-  cache : Cache.t;
+  cache : entry Cache.t;
   stopping : bool Atomic.t;
   active : int Atomic.t;  (* requests being processed right now *)
+  chunk : Bytes.t;  (* socket read buffer; main loop only *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -129,136 +139,137 @@ let emit_card ~opts ~(q : Preslang.query) ~outcome ~wall_s ~meta =
   end
   else Counting.Telemetry.flush_postmortem ()
 
-(* Compute one admitted count request to a response body. Runs under
-   the request's own context; every failure mode maps to a typed body,
+(* Append the certificate of a certified request to [body], built from
+   the recorded engine events and the request's own query text and
+   bindings. *)
+let certified (req : Proto.query_req) ~opts (q : Preslang.query) ~outcome
+    recorded body =
+  match recorded with
+  | None -> body
+  | Some (events, dropped) ->
+      with_certificate body
+        (Counting.Certify.build ~opts ~vars:q.Preslang.vars
+           ~summand:q.Preslang.summand ~query:req.query
+           ~ats:(if req.at = [] then [] else [ req.at ])
+           ~outcome ~events ~dropped q.Preslang.formula)
+
+(* The complete body of a cached answer for this request: only [eval]
+   is computed, under the request's own bindings. *)
+let complete_response req ~opts q e =
+  certified req ~opts q ~outcome:(Counting.Certify.Complete e.value) e.recorded
+    (Counting.Answer.complete_body ~at:req.Proto.at ~value_json:e.value_json
+       e.value)
+
+(* A cache miss: count the parsed query, cache a complete answer under
+   [key], and render the body. Every failure mode maps to a typed body,
    so the handler loop (and the server) never sees an exception. *)
+let answer_miss t (req : Proto.query_req) ~opts ~key (q : Preslang.query) =
+  let fingerprint =
+    Counting.Telemetry.fingerprint ~vars:q.Preslang.vars
+      ~summand:q.Preslang.summand q.Preslang.formula
+  in
+  Counting.Telemetry.set_context
+    (("query", "omegad") :: ("fingerprint", fingerprint)
+    :: Counting.Engine.opts_fields opts);
+  let meta = Counting.Engine.opts_fields opts @ [ ("fingerprint", fingerprint) ] in
+  let t0 = Unix.gettimeofday () in
+  let ctrl = Counting.Governor.ctrl_of req.budget in
+  let compute () =
+    Ctx.with_ctrl_registered ctrl (fun () ->
+        Counting.Governor.sum ~ctrl ~opts ~vars:q.Preslang.vars
+          q.Preslang.formula q.Preslang.summand)
+  in
+  match
+    if req.certify then begin
+      let outcome, events, dropped = Counting.Certify.with_recording compute in
+      (outcome, Some (events, dropped))
+    end
+    else (compute (), None)
+  with
+  | outcome, recorded ->
+      let wall_s = Unix.gettimeofday () -. t0 in
+      let merged v = if req.merge then Counting.Merge.merge_residues v else v in
+      let body, tel_outcome =
+        match outcome with
+        | Counting.Governor.Complete v ->
+            let value = merged v in
+            let e =
+              { value; value_json = Counting.Answer.value_json value; recorded }
+            in
+            Cache.add t.cache key e;
+            Obs.Metrics.incr m_completed;
+            (complete_response req ~opts q e, Counting.Telemetry.Complete)
+        | Counting.Governor.Partial p ->
+            let p =
+              {
+                p with
+                Counting.Governor.pieces = merged p.Counting.Governor.pieces;
+                lower = merged p.Counting.Governor.lower;
+                upper = Option.map merged p.Counting.Governor.upper;
+              }
+            in
+            let body =
+              certified req ~opts q ~outcome:(Counting.Certify.Partial p)
+                recorded
+                (Counting.Answer.partial_json ~at:req.at p)
+            in
+            Obs.Metrics.incr m_partial;
+            ( body,
+              Counting.Telemetry.Partial
+                (Counting.Governor.reason_name p.Counting.Governor.reason) )
+      in
+      emit_card ~opts ~q ~outcome:tel_outcome ~wall_s ~meta;
+      body
+  | exception Counting.Engine.Unbounded msg ->
+      let wall_s = Unix.gettimeofday () -. t0 in
+      Obs.Metrics.incr m_errors;
+      emit_card ~opts ~q ~outcome:(Counting.Telemetry.Failed "unbounded") ~wall_s
+        ~meta;
+      Proto.error_body ~cls:"unbounded" ~msg
+  | exception Omega.Error.Omega_error { phase; what; context } ->
+      let wall_s = Unix.gettimeofday () -. t0 in
+      let msg = Omega.Error.to_string ~phase ~what context in
+      Obs.Metrics.incr m_errors;
+      Obs.Log.error (fun () -> msg);
+      Counting.Telemetry.write_postmortem ~trigger:"omega_error" ();
+      emit_card ~opts ~q ~outcome:(Counting.Telemetry.Failed "omega_error")
+        ~wall_s ~meta;
+      Proto.error_body ~cls:"omega_error" ~msg
+  | exception exn ->
+      let wall_s = Unix.gettimeofday () -. t0 in
+      let msg = Printexc.to_string exn in
+      Obs.Metrics.incr m_errors;
+      Obs.Log.error (fun () -> "omegad: internal: " ^ msg);
+      Counting.Telemetry.write_postmortem ~trigger:"internal" ();
+      emit_card ~opts ~q ~outcome:(Counting.Telemetry.Failed "internal") ~wall_s
+        ~meta;
+      Proto.error_body ~cls:"internal" ~msg
+
+(* Answer one admitted count request. Parse, lookup and count all run
+   under one request context: the parser mints floor/ceil/mod wildcards
+   from the same fresh counter the engine then continues, so a query
+   parses to the same formula (and key) on every request, and parser
+   and engine wildcards never share a number. *)
 let answer_body t (req : Proto.query_req) =
   Obs.Metrics.incr m_requests;
-  match Preslang.parse_query req.query with
-  | exception Preslang.Parse_error (pos, msg) ->
-      Obs.Metrics.incr m_errors;
-      Proto.error_body ~cls:"parse_error"
-        ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
-  | q -> (
-      let opts = Proto.opts_of req in
-      let fingerprint =
-        Counting.Telemetry.fingerprint ~vars:q.Preslang.vars
-          ~summand:q.Preslang.summand q.Preslang.formula
-      in
-      let ckey =
-        Cache.key ~fingerprint ~opts ~merge:req.merge ~certify:req.certify
-          ~at:req.at
-      in
-      match Cache.find t.cache ckey with
-      | Some body ->
-          Obs.Metrics.incr m_completed;
-          body
-      | None ->
-          let context =
-            ("query", "omegad") :: ("fingerprint", fingerprint)
-            :: Counting.Engine.opts_fields opts
+  Ctx.with_request (fun () ->
+      match Preslang.parse_query req.query with
+      | exception Preslang.Parse_error (pos, msg) ->
+          Obs.Metrics.incr m_errors;
+          Proto.error_body ~cls:"parse_error"
+            ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
+      | q -> (
+          let opts = Proto.opts_of req in
+          let key =
+            Cache.query_key ~opts ~merge:req.merge ~certify:req.certify
+              ~minted:(Atomic.get (Presburger.Var.current_counter ()))
+              q
           in
-          let meta =
-            Counting.Engine.opts_fields opts
-            @ [ ("fingerprint", fingerprint) ]
-          in
-          Ctx.with_request ~context (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let ctrl = Counting.Governor.ctrl_of req.budget in
-              let compute () =
-                Ctx.with_ctrl_registered ctrl (fun () ->
-                    Counting.Governor.sum ~ctrl ~opts ~vars:q.Preslang.vars
-                      q.Preslang.formula q.Preslang.summand)
-              in
-              match
-                if req.certify then begin
-                  let outcome, events, dropped =
-                    Counting.Certify.with_recording compute
-                  in
-                  (outcome, Some (events, dropped))
-                end
-                else (compute (), None)
-              with
-              | outcome, recorded ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  let merged v =
-                    if req.merge then Counting.Merge.merge_residues v else v
-                  in
-                  let certificate outcome =
-                    match recorded with
-                    | None -> None
-                    | Some (events, dropped) ->
-                        Some
-                          (Counting.Certify.build ~opts ~vars:q.Preslang.vars
-                             ~summand:q.Preslang.summand ~query:req.query
-                             ~ats:(if req.at = [] then [] else [ req.at ])
-                             ~outcome ~events ~dropped q.Preslang.formula)
-                  in
-                  let body, tel_outcome, cacheable =
-                    match outcome with
-                    | Counting.Governor.Complete v ->
-                        let v = merged v in
-                        let body = Counting.Answer.complete_json ~at:req.at v in
-                        let body =
-                          match certificate (Counting.Certify.Complete v) with
-                          | Some c -> with_certificate body c
-                          | None -> body
-                        in
-                        Obs.Metrics.incr m_completed;
-                        (body, Counting.Telemetry.Complete, true)
-                    | Counting.Governor.Partial p ->
-                        let p =
-                          {
-                            p with
-                            Counting.Governor.pieces =
-                              merged p.Counting.Governor.pieces;
-                            lower = merged p.Counting.Governor.lower;
-                            upper = Option.map merged p.Counting.Governor.upper;
-                          }
-                        in
-                        let body = Counting.Answer.partial_json ~at:req.at p in
-                        let body =
-                          match certificate (Counting.Certify.Partial p) with
-                          | Some c -> with_certificate body c
-                          | None -> body
-                        in
-                        Obs.Metrics.incr m_partial;
-                        ( body,
-                          Counting.Telemetry.Partial
-                            (Counting.Governor.reason_name
-                               p.Counting.Governor.reason),
-                          false )
-                  in
-                  emit_card ~opts ~q ~outcome:tel_outcome ~wall_s ~meta;
-                  if cacheable then Cache.add t.cache ckey body;
-                  body
-              | exception Counting.Engine.Unbounded msg ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  Obs.Metrics.incr m_errors;
-                  emit_card ~opts ~q
-                    ~outcome:(Counting.Telemetry.Failed "unbounded")
-                    ~wall_s ~meta;
-                  Proto.error_body ~cls:"unbounded" ~msg
-              | exception Omega.Error.Omega_error { phase; what; context } ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  let msg = Omega.Error.to_string ~phase ~what context in
-                  Obs.Metrics.incr m_errors;
-                  Obs.Log.error (fun () -> msg);
-                  Counting.Telemetry.write_postmortem ~trigger:"omega_error" ();
-                  emit_card ~opts ~q
-                    ~outcome:(Counting.Telemetry.Failed "omega_error")
-                    ~wall_s ~meta;
-                  Proto.error_body ~cls:"omega_error" ~msg
-              | exception exn ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  let msg = Printexc.to_string exn in
-                  Obs.Metrics.incr m_errors;
-                  Obs.Log.error (fun () -> "omegad: internal: " ^ msg);
-                  Counting.Telemetry.write_postmortem ~trigger:"internal" ();
-                  emit_card ~opts ~q
-                    ~outcome:(Counting.Telemetry.Failed "internal")
-                    ~wall_s ~meta;
-                  Proto.error_body ~cls:"internal" ~msg))
+          match Cache.find t.cache key with
+          | Some e ->
+              Obs.Metrics.incr m_completed;
+              complete_response req ~opts q e
+          | None -> answer_miss t req ~opts ~key q))
 
 let handler_loop t =
   let rec loop () =
@@ -322,31 +333,66 @@ let dispatch t conn line =
                  (Proto.error_body ~cls:"unavailable"
                     ~msg:"server is shutting down")))
 
-(* Pull complete lines out of a connection's accumulator. *)
-let drain_lines t conn =
-  let s = Buffer.contents conn.rbuf in
-  let n = String.length s in
-  let start = ref 0 in
-  (try
-     while true do
-       let nl = String.index_from s !start '\n' in
-       dispatch t conn (String.sub s !start (nl - !start));
-       start := nl + 1
-     done
-   with Not_found -> ());
-  if !start > 0 then begin
-    Buffer.clear conn.rbuf;
-    Buffer.add_substring conn.rbuf s !start (n - !start)
-  end
+(* The longest request line read, newline excluded (see server.mli). *)
+let max_line_bytes = 1 lsl 20
 
+let read_size = 65536
+
+(* Dispatch the complete lines among the [n] bytes just read into
+   [t.chunk]. Only the new bytes are scanned: [conn.rbuf] holds the
+   unterminated tail of earlier reads, and is joined to a line only
+   once its newline arrives. Returns [false] when a line outgrows
+   [max_line_bytes]. *)
+let drain_lines t conn n =
+  let chunk = t.chunk in
+  let rec go start =
+    let nl =
+      match Bytes.index_from_opt chunk start '\n' with
+      | Some i when i < n -> i
+      | _ -> -1
+    in
+    let pending = Buffer.length conn.rbuf in
+    if nl < 0 then
+      pending + (n - start) <= max_line_bytes
+      && begin
+           Buffer.add_subbytes conn.rbuf chunk start (n - start);
+           true
+         end
+    else
+      pending + (nl - start) <= max_line_bytes
+      && begin
+           let line =
+             if pending = 0 then Bytes.sub_string chunk start (nl - start)
+             else begin
+               Buffer.add_subbytes conn.rbuf chunk start (nl - start);
+               let line = Buffer.contents conn.rbuf in
+               Buffer.reset conn.rbuf;
+               line
+             end
+           in
+           dispatch t conn line;
+           go (nl + 1)
+         end
+  in
+  go 0
+
+(* Read once from [conn]; [false] when the connection must close (peer
+   gone, or a request line over the cap, which is answered first). *)
 let read_chunk t conn =
-  let bytes = Bytes.create 65536 in
-  match Unix.read conn.fd bytes 0 65536 with
+  match Unix.read conn.fd t.chunk 0 read_size with
   | 0 -> false
   | n ->
-      Buffer.add_subbytes conn.rbuf bytes 0 n;
-      drain_lines t conn;
-      true
+      drain_lines t conn n
+      || begin
+           Obs.Metrics.incr m_errors;
+           send_line conn
+             (Proto.with_id J.Null
+                (Proto.error_body ~cls:"too_large"
+                   ~msg:
+                     (Printf.sprintf "request line exceeds %d bytes"
+                        max_line_bytes)));
+           false
+         end
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
 
@@ -368,6 +414,7 @@ let run ?(config = default_config) () =
           ?ttl_s:config.cache_ttl_s ();
       stopping = Atomic.make false;
       active = Atomic.make 0;
+      chunk = Bytes.create read_size;
     }
   in
   install_signal_handlers t;

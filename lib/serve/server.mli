@@ -15,7 +15,14 @@
     ["complete"] / ["partial"] (bodies from {!Counting.Answer}, so
     bytes match [omcount --json]), ["shed"], ["error"] (with [class]:
     [parse_error] / [unbounded] / [omega_error] / [bad_request] /
-    [unavailable] / [internal]), or ["ok"] for the inline verbs.
+    [unavailable] / [too_large] / [internal]), or ["ok"] for the inline
+    verbs. A request line may hold at most 1 MiB, newline excluded; a
+    longer one is answered with a [too_large] error (id [null]) and its
+    connection is closed, while other connections are not affected.
+
+    {b Answer cache}: a complete answer is cached as its symbolic value
+    under {!Cache.query_key}, which has no [at] bindings; a request for
+    a cached query at any size only evaluates [eval] (see {!Cache}).
 
     {b Fault isolation}: each count request runs under its own
     {!Ctx.with_request} context and budget control block on a handler
@@ -29,7 +36,8 @@ type config = {
   socket_path : string;
   handlers : int;  (** handler domains; one request processed per domain *)
   queue_limit : int;  (** admission bound; beyond it requests are shed *)
-  cache_capacity : int;  (** whole-answer cache entries *)
+  cache_capacity : int;
+      (** answer-cache entries; one entry serves every [at] of a query *)
   cache_ttl_s : float option;  (** answer-cache TTL; [None] = no expiry *)
   idle_sweep_s : float option;
       (** idle seconds before a memo/cache sweep; [None] disables *)

@@ -1,8 +1,9 @@
 (* omegad server battery (the Serve library): protocol round-trips,
    per-request
    isolation (byte-identical replays, certificates included), admission
-   shedding, the whole-answer cache, chaos under concurrent load, and
-   crash-only drain on SIGTERM.
+   shedding, the symbolic answer cache (regressions, key property and a
+   served differential run), request-line framing, chaos under
+   concurrent load, and crash-only drain on SIGTERM.
 
    Every test runs a real server (own Unix socket, handler domains) in
    this process and talks to it through Serve.Client. *)
@@ -59,12 +60,12 @@ let status resp =
   match member "status" resp with Some (J.Str s) -> s | _ -> "<none>"
 
 (* The serially-computed body for a complete query — exactly the
-   rendering pipeline of Server.answer_body, under its own fresh
-   request context, with chaos off. *)
+   rendering pipeline of Server.answer_body, parse included, under its
+   own fresh request context, with chaos off. *)
 let serial_complete_body ?(opts = E.default) ~at qtext =
   Chaos.set None;
-  let q = Preslang.parse_query qtext in
   Serve.Ctx.with_request (fun () ->
+      let q = Preslang.parse_query qtext in
       match
         Counting.Governor.sum ~opts ~vars:q.Preslang.vars q.Preslang.formula
           q.Preslang.summand
@@ -76,8 +77,8 @@ let serial_complete_body ?(opts = E.default) ~at qtext =
 
 let serial_certified_body ?(opts = E.default) ~at qtext =
   Chaos.set None;
-  let q = Preslang.parse_query qtext in
   Serve.Ctx.with_request (fun () ->
+      let q = Preslang.parse_query qtext in
       let outcome, events, dropped =
         Counting.Certify.with_recording (fun () ->
             Counting.Governor.sum ~opts ~vars:q.Preslang.vars
@@ -455,6 +456,353 @@ let test_chaos_under_load () =
             chaos_queries))
 
 (* ------------------------------------------------------------------ *)
+(* Symbolic answer cache                                               *)
+
+(* The body [omcount --json] prints: parse and count on the calling
+   domain's own counters, no request context. *)
+let omcount_body ~at qtext =
+  Chaos.set None;
+  let q = Preslang.parse_query qtext in
+  match
+    Counting.Governor.sum ~opts:E.default ~vars:q.Preslang.vars
+      q.Preslang.formula q.Preslang.summand
+  with
+  | Counting.Governor.Complete v ->
+      Counting.Answer.complete_json ~at (Counting.Merge.merge_residues v)
+  | Counting.Governor.Partial _ ->
+      Alcotest.failf "omcount run of %s was partial" qtext
+
+let count_line ?(at = []) id qtext =
+  Printf.sprintf {|{"id":%d,"query":"%s","at":{%s}}|} id qtext
+    (String.concat ","
+       (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) at))
+
+let zat = List.map (fun (k, v) -> (k, Zint.of_int v))
+
+let eval_of resp =
+  match member "eval" resp with
+  | Some (J.Num f) -> int_of_float f
+  | _ -> Alcotest.failf "no eval in %s" resp
+
+let metric c name =
+  Option.value ~default:0 (metric_value (get_metrics c) name)
+
+let with_client path f =
+  let c = Serve.Client.connect ~retries:100 path in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
+
+(* A floor query parsed outside the request context got wildcards that
+   clashed with the engine's, and a new fingerprint (so never a cache
+   hit) on every request. *)
+let test_floor_in_context () =
+  Chaos.set None;
+  let floor_q = "count { i : 0 <= i <= n and 2 | i + floor(i/3) }" in
+  let at = [ ("n", 7) ] in
+  with_server (fun path ->
+      with_client path (fun c ->
+          let r = Serve.Client.request c (count_line ~at 1 floor_q) in
+          Alcotest.(check string)
+            "first request (floor plus stride) matches omcount"
+            (omcount_body ~at:(zat at) floor_q)
+            (strip_id r);
+          Alcotest.(check int) "floor plus stride at n=7" 5 (eval_of r);
+          let h0 = metric c "omega_serve_cache_hits_total" in
+          let r2 = Serve.Client.request c (count_line ~at 2 floor_q) in
+          Alcotest.(check string)
+            "repeat is byte-identical" (strip_id r) (strip_id r2);
+          Alcotest.(check int)
+            "repeated floor query is a cache hit" (h0 + 1)
+            (metric c "omega_serve_cache_hits_total")))
+
+(* Each pair shares a 64-bit fingerprint. Sent in this order, the
+   fingerprint-keyed cache answered the second query with the first
+   one's count. *)
+let test_fingerprint_collisions () =
+  Chaos.set None;
+  let pair ~at (q1, v1) (q2, v2) =
+    with_server (fun path ->
+        with_client path (fun c ->
+            Alcotest.(check int) q1 v1
+              (eval_of (Serve.Client.request c (count_line ~at 1 q1)));
+            Alcotest.(check int) q2 v2
+              (eval_of (Serve.Client.request c (count_line ~at 2 q2)))))
+  in
+  pair ~at:[]
+    ("count { x, y : 0 <= x <= 10 and 0 <= y <= 10 and 1*x + 1*y <= 20 }", 121)
+    ( "count { x, y : 0 <= x <= 10 and 0 <= y <= 10 and 1*x + 32768*y <= 20 }",
+      11 );
+  pair
+    ~at:[ ("n", 12) ]
+    ("count { i, j, k : 0 <= i <= j and j + 15 <= k <= n + 14 }", 364)
+    ("count { i, j, k : 1 <= i <= j and j + 15 <= k <= n + 14 }", 286)
+
+(* A certified hit reuses the recorded engine events but builds the
+   certificate from its own query text and bindings. *)
+let test_certified_hits () =
+  Chaos.set None;
+  let q = "count { i, j : 1 <= i and j <= n and 2*i <= 3*j }" in
+  let q' = "count {i,j: 1<=i and j<=n and 2*i<=3*j}" in
+  let line id text n =
+    Printf.sprintf {|{"id":%d,"query":"%s","at":{"n":%d},"certify":true}|} id
+      text n
+  in
+  with_server (fun path ->
+      with_client path (fun c ->
+          let h0 = metric c "omega_serve_cache_hits_total" in
+          List.iteri
+            (fun i (text, n) ->
+              Alcotest.(check string)
+                (Printf.sprintf "certified %S at n=%d" text n)
+                (serial_certified_body ~at:[ ("n", Zint.of_int n) ] text)
+                (strip_id (Serve.Client.request c (line i text n))))
+            [ (q, 40); (q, 41); (q', 40) ];
+          Alcotest.(check int) "second and third are hits" (h0 + 2)
+            (metric c "omega_serve_cache_hits_total")))
+
+(* Preslang text for a generated formula. The two styles spell the
+   same formula differently (connectives, unit coefficients, comparison
+   direction, spacing). *)
+let rec preslang ~alt (f : Presburger.Formula.t) =
+  let module F = Presburger.Formula in
+  let affine e =
+    let terms =
+      Presburger.Affine.fold
+        (fun v c acc ->
+          let v = Presburger.Var.to_string v in
+          (if Zint.is_one c && not alt then v
+           else Printf.sprintf "%s*%s" (Zint.to_string c) v)
+          :: acc)
+        e []
+    in
+    String.concat " + "
+      (List.rev terms @ [ Zint.to_string (Presburger.Affine.constant e) ])
+  in
+  let join sep fs = "(" ^ String.concat sep (List.map (preslang ~alt) fs) ^ ")" in
+  let quant kw vs f =
+    Printf.sprintf "%s (%s : %s)" kw
+      (String.concat ", " (List.map Presburger.Var.to_string vs))
+      (preslang ~alt f)
+  in
+  match f with
+  | F.True -> "0 = 0"
+  | F.False -> "0 = 1"
+  | F.Atom (F.Geq e) -> if alt then "0  <=  " ^ affine e else affine e ^ " >= 0"
+  | F.Atom (F.Eq e) -> affine e ^ " = 0"
+  | F.Atom (F.Stride (c, e)) -> Zint.to_string c ^ " | " ^ affine e
+  | F.And fs -> join (if alt then " && " else " and ") fs
+  | F.Or fs -> join (if alt then " || " else " or ") fs
+  | F.Not f -> (if alt then "!(" else "not (") ^ preslang ~alt f ^ ")"
+  | F.Exists (vs, f) -> quant "exists" vs f
+  | F.Forall (vs, f) -> quant "forall" vs f
+
+(* Conjuncts that make the parser mint floor/ceil/mod wildcards. *)
+let wild_extra k v =
+  match k with
+  | 0 -> ""
+  | 1 -> Printf.sprintf " and 2 | %s + floor(%s/3)" v v
+  | 2 -> Printf.sprintf " and %s mod 3 <= 1" v
+  | _ -> Printf.sprintf " and ceil(%s/2) >= -1" v
+
+let generated_query ~alt seed extra =
+  let case = Test_differential.gen_case seed in
+  Printf.sprintf "count { %s : %s%s }"
+    (String.concat ", " case.Test_differential.vars)
+    (preslang ~alt case.Test_differential.formula)
+    (wild_extra extra (List.hd case.Test_differential.vars))
+
+(* The cache key and the answer body at each of [ats], both computed as
+   omegad computes them: parse, key and count under one request
+   context. *)
+let keyed_bodies ~ats text =
+  Chaos.set None;
+  Serve.Ctx.with_request (fun () ->
+      let q = Preslang.parse_query text in
+      let key =
+        Serve.Cache.query_key ~opts:E.default ~merge:true ~certify:false
+          ~minted:(Atomic.get (Presburger.Var.current_counter ()))
+          q
+      in
+      match
+        Counting.Governor.sum ~opts:E.default ~vars:q.Preslang.vars
+          q.Preslang.formula q.Preslang.summand
+      with
+      | Counting.Governor.Complete v ->
+          let v = Counting.Merge.merge_residues v in
+          (key, List.map (fun at -> Counting.Answer.complete_json ~at v) ats)
+      | Counting.Governor.Partial _ -> Alcotest.failf "%s was partial" text)
+
+let property_ats = [] :: List.map (fun n -> [ ("n", Zint.of_int n) ]) [ 0; 1; 3; 7 ]
+
+let test_key_property () =
+  let equal_keys = ref 0 in
+  let same_key_same_bodies =
+    QCheck.Test.make ~name:"equal cache keys render equal bodies" ~count:60
+      QCheck.(
+        make
+          ~print:(fun (a, b, bits) -> Printf.sprintf "seeds %d %d bits %d" a b bits)
+          Gen.(triple (int_range 0 299) (int_range 0 299) (int_range 0 127)))
+      (fun (sa, sb, bits) ->
+        let ta = generated_query ~alt:(bits land 16 <> 0) sa (bits land 3) in
+        let tb =
+          if bits land 64 <> 0 then
+            generated_query ~alt:(bits land 32 <> 0) sa (bits land 3)
+          else generated_query ~alt:(bits land 32 <> 0) sb ((bits lsr 2) land 3)
+        in
+        let ka, ba = keyed_bodies ~ats:property_ats ta in
+        let kb, bb = keyed_bodies ~ats:property_ats tb in
+        if ka = kb then incr equal_keys;
+        ka <> kb || ba = bb)
+  in
+  let named_never_wild =
+    QCheck.Test.make ~name:"named variables never print like wildcards"
+      ~count:500
+      QCheck.(
+        make ~print:Fun.id
+          Gen.(string_size ~gen:(oneofl [ 'a'; 'Z'; '_'; '\''; '1'; '$' ]) (int_range 1 6)))
+      (fun s ->
+        match Preslang.parse_formula (s ^ " + floor(n/2) >= 0") with
+        | exception Preslang.Parse_error _ -> true
+        | f ->
+            Presburger.Var.Set.for_all
+              (fun v ->
+                (not (Presburger.Var.is_wild v))
+                && not (String.contains (Presburger.Var.to_string v) '$'))
+              (Presburger.Formula.free_vars f))
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 13 |]) same_key_same_bodies;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 13 |]) named_never_wild;
+  Alcotest.(check bool)
+    (Printf.sprintf "the property met equal keys (%d pairs)" !equal_keys)
+    true (!equal_keys > 0);
+  (* Known fingerprint collisions have distinct keys. *)
+  List.iter
+    (fun (q1, q2) ->
+      let k1, _ = keyed_bodies ~ats:[] q1 and k2, _ = keyed_bodies ~ats:[] q2 in
+      Alcotest.(check bool) (q1 ^ " / " ^ q2) true (k1 <> k2))
+    [
+      ( "count { x, y : 0 <= x <= 10 and 0 <= y <= 10 and 1*x + 1*y <= 20 }",
+        "count { x, y : 0 <= x <= 10 and 0 <= y <= 10 and 1*x + 32768*y <= 20 }" );
+      ( "count { i, j, k : 0 <= i <= j and j + 15 <= k <= n + 14 }",
+        "count { i, j, k : 1 <= i <= j and j + 15 <= k <= n + 14 }" );
+    ]
+
+(* Every served body against the omcount body, over two concurrent
+   connections and a cache too small to keep every query. *)
+let differential_queries =
+  Array.append chaos_queries
+    [|
+      "count { i : 0 <= i <= n and 2 | i + floor(i/3) }";
+      "count { i : 1 <= i <= n and i mod 4 <= 1 }";
+      "count { i, j : 1 <= i <= j <= n and 3 | i + j }";
+      "count { i : 1 <= i <= n and not (3 | i + 1) }";
+      "count { i : 1 <= i <= n and exists (k : i = 2*k + 1) }";
+    |]
+
+let test_served_differential () =
+  Chaos.set None;
+  let ns = [ 4; 9; 13; 20 ] in
+  let qis = List.init (Array.length differential_queries) Fun.id in
+  (* Query-major (consecutive sizes of one query hit) then size-major
+     (every query cycles through the 4 entries and is evicted). *)
+  let items =
+    Array.of_list
+      (List.concat_map (fun qi -> List.map (fun n -> (qi, n)) ns) qis
+      @ List.concat_map (fun n -> List.map (fun qi -> (qi, n)) qis) ns)
+  in
+  let expected = Hashtbl.create 64 in
+  Array.iter
+    (fun (qi, n) ->
+      if not (Hashtbl.mem expected (qi, n)) then
+        Hashtbl.add expected (qi, n)
+          (omcount_body ~at:[ ("n", Zint.of_int n) ] differential_queries.(qi)))
+    items;
+  with_server ~handlers:2 ~cache:4 (fun path ->
+      with_client path (fun c ->
+          let hits0 = metric c "omega_serve_cache_hits_total" in
+          let ev0 = metric c "omega_serve_cache_evictions_total" in
+          let conn k =
+            Domain.spawn (fun () ->
+                with_client path (fun c ->
+                    List.filter_map
+                      (fun i ->
+                        if i mod 2 <> k then None
+                        else
+                          let qi, n = items.(i) in
+                          let r =
+                            Serve.Client.request c
+                              (count_line ~at:[ ("n", n) ] i differential_queries.(qi))
+                          in
+                          Some (items.(i), r))
+                      (List.init (Array.length items) Fun.id)))
+          in
+          let d0 = conn 0 and d1 = conn 1 in
+          let served = Domain.join d0 @ Domain.join d1 in
+          Alcotest.(check int) "every request answered" (Array.length items)
+            (List.length served);
+          List.iter
+            (fun ((qi, n), r) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at n=%d" differential_queries.(qi) n)
+                (Hashtbl.find expected (qi, n))
+                (strip_id r))
+            served;
+          let hits = metric c "omega_serve_cache_hits_total" - hits0 in
+          let evictions = metric c "omega_serve_cache_evictions_total" - ev0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "hits (%d) and evictions (%d) both happened" hits
+               evictions)
+            true
+            (hits > 0 && evictions > 0)))
+
+(* ------------------------------------------------------------------ *)
+(* Request-line framing                                                *)
+
+let test_line_cap () =
+  Chaos.set None;
+  with_server (fun path ->
+      with_client path (fun c ->
+          ignore (Serve.Client.request c {|{"op":"ping"}|});
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              (* 2 MiB and no newline; the server may close before all
+                 of it is written. *)
+              let chunk = Bytes.make 65536 'x' in
+              let rec push left =
+                if left > 0 then
+                  match Unix.write fd chunk 0 (min left 65536) with
+                  | n -> push (left - n)
+                  | exception
+                      Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+                      ()
+              in
+              push (2 * 1024 * 1024);
+              let ic = Unix.in_channel_of_descr fd in
+              let r = input_line ic in
+              Alcotest.(check string) "over-long line status" "error" (status r);
+              (match member "class" r with
+              | Some (J.Str "too_large") -> ()
+              | _ -> Alcotest.failf "over-long line answered %s" r);
+              match input_line ic with
+              | exception (End_of_file | Sys_error _) -> ()
+              | l -> Alcotest.failf "connection still open after too_large: %s" l);
+          (* Other connections, old and new, are still served, and a
+             line under the cap that spans several reads is joined. *)
+          let q = "count { i, j : 1 <= i <= j <= n }" in
+          let padded = "count { i, j :" ^ String.make 300_000 ' ' ^ "1 <= i <= j <= n }" in
+          Alcotest.(check int) "300 kB line answered" 5050
+            (eval_of
+               (Serve.Client.request c (count_line ~at:[ ("n", 100) ] 3 padded)));
+          Alcotest.(check int) "open connection still served" 5050
+            (eval_of (Serve.Client.request c (count_line ~at:[ ("n", 100) ] 1 q)));
+          with_client path (fun c2 ->
+              Alcotest.(check int) "new connection served" 55
+                (eval_of
+                   (Serve.Client.request c2 (count_line ~at:[ ("n", 10) ] 2 q))))))
+
+(* ------------------------------------------------------------------ *)
 (* Crash-only drain: SIGTERM mid-flight                                *)
 
 let test_sigterm_drain () =
@@ -531,6 +879,18 @@ let suite =
         `Quick test_cache;
       Alcotest.test_case "chaos under concurrent load (>=200 faults)" `Quick
         test_chaos_under_load;
+      Alcotest.test_case "answer cache: fingerprint collisions answer right"
+        `Quick test_fingerprint_collisions;
+      Alcotest.test_case "answer cache: floor query parses in request context"
+        `Quick test_floor_in_context;
+      Alcotest.test_case "answer cache: certified hits certify their request"
+        `Quick test_certified_hits;
+      Alcotest.test_case "answer cache: equal keys render equal bodies" `Quick
+        test_key_property;
+      Alcotest.test_case "answer cache: served bodies match omcount" `Quick
+        test_served_differential;
+      Alcotest.test_case "over-long request line: too_large, then close"
+        `Quick test_line_cap;
       Alcotest.test_case "SIGTERM mid-flight drains crash-only" `Quick
         test_sigterm_drain;
       Alcotest.test_case "shutdown slots run in fixed order once" `Quick
