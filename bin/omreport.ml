@@ -180,13 +180,11 @@ let print_agg ~top agg =
       print_newline ()
     end;
     Printf.printf
-      "memo hit rates: feas %.1f%% (%d) elim %.1f%% (%d) gist %.1f%% (%d)\n"
+      "memo hit rates: feas %.1f%% (%d) redundant %.1f%% (%d)\n"
       (rate (memo_sum agg "feas_hits") (memo_sum agg "feas_queries"))
       (memo_sum agg "feas_queries")
-      (rate (memo_sum agg "elim_hits") (memo_sum agg "elim_queries"))
-      (memo_sum agg "elim_queries")
-      (rate (memo_sum agg "gist_hits") (memo_sum agg "gist_queries"))
-      (memo_sum agg "gist_queries");
+      (rate (memo_sum agg "redundant_hits") (memo_sum agg "redundant_queries"))
+      (memo_sum agg "redundant_queries");
     Printf.printf "prefilter: %d probes, %.1f%% refuted\n" agg.probes
       (rate agg.refuted agg.probes);
     Printf.printf "budget: fuel_used=%d trips=%d injections=%d\n" agg.fuel_used

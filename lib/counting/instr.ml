@@ -167,12 +167,11 @@ let pp fmt r =
   Format.fprintf fmt "  feas   %d queries, %d hits (%.1f%%)@," m.feas_queries
     m.feas_hits
     (hit_rate m.feas_hits m.feas_queries);
-  Format.fprintf fmt "  elim   %d queries, %d hits (%.1f%%)@," m.elim_queries
-    m.elim_hits
-    (hit_rate m.elim_hits m.elim_queries);
-  Format.fprintf fmt "  gist   %d queries, %d hits (%.1f%%)@," m.gist_queries
-    m.gist_hits
-    (hit_rate m.gist_hits m.gist_queries);
+  Format.fprintf fmt "  redund %d queries, %d hits (%.1f%%)@,"
+    m.redundant_queries m.redundant_hits
+    (hit_rate m.redundant_hits m.redundant_queries);
+  Format.fprintf fmt "  elim   %d queries, gist %d queries (not cached)@,"
+    m.elim_queries m.gist_queries;
   Format.fprintf fmt "  eliminations %d, evictions %d@," m.eliminations
     m.evictions;
   Format.fprintf fmt "  alloc  %.0f minor words, %.0f promoted, %.0f major@,"

@@ -170,10 +170,9 @@ let to_json card =
   let refuted = count_metric card.report "planner.probe_refuted" in
   Buffer.add_string b
     (Printf.sprintf
-       ",\"rates\":{\"memo_feas_pct\":%.2f,\"memo_elim_pct\":%.2f,\"memo_gist_pct\":%.2f,\"prefilter_probes\":%d,\"prefilter_refuted_pct\":%.2f}"
+       ",\"rates\":{\"memo_feas_pct\":%.2f,\"memo_redundant_pct\":%.2f,\"prefilter_probes\":%d,\"prefilter_refuted_pct\":%.2f}"
        (pct m.Omega.Memo.feas_hits m.Omega.Memo.feas_queries)
-       (pct m.Omega.Memo.elim_hits m.Omega.Memo.elim_queries)
-       (pct m.Omega.Memo.gist_hits m.Omega.Memo.gist_queries)
+       (pct m.Omega.Memo.redundant_hits m.Omega.Memo.redundant_queries)
        probes (pct refuted probes));
   Buffer.add_string b
     (Printf.sprintf

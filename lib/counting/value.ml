@@ -20,40 +20,64 @@ let map_values f (v : t) =
       if Qpoly.is_zero value then None else Some { p with value })
     v
 
-let guard_key (c : C.t) =
-  (* canonical printable key for syntactic guard grouping *)
-  C.to_string c
+(* The guard pipeline's verdict on one raw guard: dropped (with the
+   clause a certificate records), or kept and folded into the
+   accumulator of its printed form. *)
+type slot = { reduced : C.t; mutable acc : Qpoly.t }
+type verdict = Refuted of C.t | Kept of slot
+
+module Raw = Hashtbl.Make (Omega.Memo.Exact)
 
 let simplify (v : t) : t =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
+  (* Pieces are folded by the printed form of their reduced guard, in
+     first-appearance order. Splintered answers repeat a few raw guards
+     over many pieces, so the pipeline (normalize, feasibility,
+     redundancy removal, printing) runs once per distinct raw guard and
+     later pieces reuse its verdict. Every piece still takes its own
+     turn in order, so the fold order and the certificate recorder's
+     events (one per piece with a refuted guard) do not depend on the
+     grouping. *)
+  let verdicts = Raw.create 16 in
+  let printed = Hashtbl.create 16 in
+  let slots = ref [] in
+  let verdict guard =
+    match C.normalize guard with
+    | None -> Refuted guard
+    | Some g when not (Omega.Solve.is_feasible g) -> Refuted g
+    | Some g -> (
+        let g =
+          match Omega.Gist.remove_redundant g with Some g -> g | None -> g
+        in
+        let key = C.to_string g in
+        match Hashtbl.find_opt printed key with
+        | Some slot -> Kept slot
+        | None ->
+            let slot = { reduced = g; acc = Qpoly.zero } in
+            Hashtbl.replace printed key slot;
+            slots := slot :: !slots;
+            Kept slot)
+  in
   List.iter
     (fun p ->
-      match Omega.Clause.normalize p.guard with
-      | None ->
+      let key = Omega.Memo.Exact.of_clause p.guard in
+      let d =
+        match Raw.find_opt verdicts key with
+        | Some d -> d
+        | None ->
+            let d = verdict p.guard in
+            Raw.add verdicts key d;
+            d
+      in
+      match d with
+      | Refuted c ->
           if Cert.armed () then
-            Cert.record_refuted Cert.Simplify (Omega.Clause.snapshot p.guard)
-      | Some g ->
-          if Omega.Solve.is_feasible g then begin
-            let g =
-              match Omega.Gist.remove_redundant g with
-              | Some g -> g
-              | None -> g
-            in
-            let key = guard_key g in
-            match Hashtbl.find_opt tbl key with
-            | Some (g0, acc) -> Hashtbl.replace tbl key (g0, Qpoly.add acc p.value)
-            | None ->
-                order := key :: !order;
-                Hashtbl.replace tbl key (g, p.value)
-          end
-          else if Cert.armed () then
-            Cert.record_refuted Cert.Simplify (Omega.Clause.snapshot g))
+            Cert.record_refuted Cert.Simplify (Omega.Clause.snapshot c)
+      | Kept slot -> slot.acc <- Qpoly.add slot.acc p.value)
     v;
-  List.rev !order
-  |> List.filter_map (fun key ->
-         let g, value = Hashtbl.find tbl key in
-         if Qpoly.is_zero value then None else Some { guard = g; value })
+  List.rev !slots
+  |> List.filter_map (fun slot ->
+         if Qpoly.is_zero slot.acc then None
+         else Some { guard = slot.reduced; value = slot.acc })
 
 let eval env (v : t) =
   let var_env var = env (V.to_string var) in

@@ -26,7 +26,10 @@ val map_values : (Qpoly.t -> Qpoly.t) -> t -> t
 (** {1 Simplification} *)
 
 (** Drop pieces with infeasible or zero content; combine pieces with
-    syntactically identical guards; drop guards that are trivially true. *)
+    syntactically identical guards; drop guards that are trivially true.
+    Guards are reduced (normalize, feasibility, redundancy removal) once
+    per distinct raw guard ({!Omega.Memo.Exact}); the result is the same
+    as reducing every piece's guard on its own. *)
 val simplify : t -> t
 
 (** {1 Evaluation} *)

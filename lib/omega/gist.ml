@@ -68,30 +68,51 @@ let remove_redundant_core (c : Clause.t) =
         Clause.normalize (clause_of_constraints c.wilds ks)
       end
 
+module RedundantTbl = Memo.Lru (Memo.Exact)
+
+(* Small: a residue-splintered sum asks about few distinct clauses
+   (111 of 1 481 lookups miss for [37*i <= 29*j]), so a few hundred
+   entries hold them all without keeping clauses alive for long. *)
+let redundant_cache : Clause.t option RedundantTbl.t = RedundantTbl.create 256
+
+let remove_redundant_memo (c : Clause.t) =
+  (* Charged before the lookup, as the feasibility memo does: a hit
+     still costs one unit of fuel. *)
+  Obs.Budget.charge 1;
+  let mc = Memo.local () in
+  mc.redundant_queries <- mc.redundant_queries + 1;
+  if not (Memo.enabled ()) then remove_redundant_core c
+  else begin
+    (* Exact key: the result is built from [c]'s constraints in order. *)
+    let key = Memo.Exact.of_clause c in
+    match RedundantTbl.find_opt redundant_cache key with
+    | Some r ->
+        mc.redundant_hits <- mc.redundant_hits + 1;
+        if Obs.Trace.enabled () then
+          Obs.Trace.add_attr "memo" (Obs.Trace.Str "hit");
+        r
+    | None ->
+        let r = remove_redundant_core c in
+        RedundantTbl.add redundant_cache key r;
+        if Obs.Trace.enabled () then
+          Obs.Trace.add_attr "memo" (Obs.Trace.Str "miss");
+        r
+  end
+
 let remove_redundant (c : Clause.t) =
   if Obs.Trace.enabled () then
     Obs.Trace.span "gist.remove_redundant"
       ~attrs:(fun () -> [ ("constraints", Obs.Trace.Int (Clause.size c)) ])
       (fun () ->
-        let r = remove_redundant_core c in
+        let r = remove_redundant_memo c in
         Obs.Trace.add_attr "constraints_out"
           (Obs.Trace.Int (match r with None -> 0 | Some c' -> Clause.size c'));
         r)
-  else remove_redundant_core c
+  else remove_redundant_memo c
 
-module GistTbl = Memo.Lru (struct
-  type t = Memo.Ckey.t * Memo.Fkey.t
-
-  let equal (p1, g1) (p2, g2) =
-    Memo.Ckey.equal p1 p2 && Memo.Fkey.equal g1 g2
-
-  let hash (p, g) =
-    ((Memo.Ckey.hash p * 65599) + Memo.Fkey.hash g) land max_int
-end)
-
-let gist_cache : Clause.t GistTbl.t = GistTbl.create 8192
-
-let gist_uncached p given =
+let gist_core p given =
+  let mc = Memo.local () in
+  mc.gist_queries <- mc.gist_queries + 1;
   let given = Clause.rename_wilds given in
   let rec filter kept = function
     | [] -> List.rev kept
@@ -106,28 +127,6 @@ let gist_uncached p given =
   let ks = filter [] (constraints_of p) in
   clause_of_constraints V.Set.empty ks
 
-let gist_memo p given =
-  let mc = Memo.local () in
-  mc.gist_queries <- mc.gist_queries + 1;
-  if not (Memo.enabled ()) then gist_uncached p given
-  else begin
-    (* [p] is keyed exactly (the result is built from its constraints);
-       [given] only up to wildcard names, which [gist] renames anyway. *)
-    let key = (Memo.Ckey.of_clause p, Memo.wilds_canonical_key given) in
-    match GistTbl.find_opt gist_cache key with
-    | Some r ->
-        mc.gist_hits <- mc.gist_hits + 1;
-        if Obs.Trace.enabled () then
-          Obs.Trace.add_attr "memo" (Obs.Trace.Str "hit");
-        r
-    | None ->
-        let r = gist_uncached p given in
-        GistTbl.add ~weight:(Clause.size r) gist_cache key r;
-        if Obs.Trace.enabled () then
-          Obs.Trace.add_attr "memo" (Obs.Trace.Str "miss");
-        r
-  end
-
 let gist p ~given =
   if not (V.Set.is_empty p.Clause.wilds) then
     Error.fail ~phase:"gist"
@@ -140,8 +139,8 @@ let gist p ~given =
           ("constraints", Obs.Trace.Int (Clause.size p));
           ("given_constraints", Obs.Trace.Int (Clause.size given));
         ])
-      (fun () -> gist_memo p given)
-  else gist_memo p given
+      (fun () -> gist_core p given)
+  else gist_core p given
 
 let implies p q =
   if not (Solve.is_feasible p) then true

@@ -23,7 +23,9 @@ val negate_constraint : kind -> Clause.t list
 (** [remove_redundant c] drops every inequality, equality and stride of [c]
     that is implied by the rest of the clause (the paper's "more aggressive
     techniques", backed by the complete feasibility test). Returns [None]
-    when [c] itself is infeasible. *)
+    when [c] itself is infeasible. Memoized in a small {!Memo.Lru} keyed
+    on [c] exactly as written ({!Memo.Exact}), bypassed when the memo is
+    disabled. *)
 val remove_redundant : Clause.t -> Clause.t option
 
 (** [gist p ~given] is a minimal-ish subset of [p]'s constraints such that

@@ -11,6 +11,8 @@ type counters = {
   mutable elim_hits : int;
   mutable gist_queries : int;
   mutable gist_hits : int;
+  mutable redundant_queries : int;
+  mutable redundant_hits : int;
   mutable eliminations : int;
   mutable evictions : int;
 }
@@ -23,6 +25,8 @@ let zero_counters () =
     elim_hits = 0;
     gist_queries = 0;
     gist_hits = 0;
+    redundant_queries = 0;
+    redundant_hits = 0;
     eliminations = 0;
     evictions = 0;
   }
@@ -57,6 +61,8 @@ let add_counters acc c =
     elim_hits = acc.elim_hits + c.elim_hits;
     gist_queries = acc.gist_queries + c.gist_queries;
     gist_hits = acc.gist_hits + c.gist_hits;
+    redundant_queries = acc.redundant_queries + c.redundant_queries;
+    redundant_hits = acc.redundant_hits + c.redundant_hits;
     eliminations = acc.eliminations + c.eliminations;
     evictions = acc.evictions + c.evictions;
   }
@@ -73,6 +79,8 @@ let diff a b =
     elim_hits = a.elim_hits - b.elim_hits;
     gist_queries = a.gist_queries - b.gist_queries;
     gist_hits = a.gist_hits - b.gist_hits;
+    redundant_queries = a.redundant_queries - b.redundant_queries;
+    redundant_hits = a.redundant_hits - b.redundant_hits;
     eliminations = a.eliminations - b.eliminations;
     evictions = a.evictions - b.evictions;
   }
@@ -87,6 +95,8 @@ let reset_counters () =
           c.elim_hits <- 0;
           c.gist_queries <- 0;
           c.gist_hits <- 0;
+          c.redundant_queries <- 0;
+          c.redundant_hits <- 0;
           c.eliminations <- 0;
           c.evictions <- 0)
         !registry)
@@ -99,6 +109,8 @@ let counters_to_fields c =
     ("elim_hits", c.elim_hits);
     ("gist_queries", c.gist_queries);
     ("gist_hits", c.gist_hits);
+    ("redundant_queries", c.redundant_queries);
+    ("redundant_hits", c.redundant_hits);
     ("eliminations", c.eliminations);
     ("evictions", c.evictions);
   ]
@@ -162,21 +174,12 @@ module Lru (K : Hashtbl.HashedType) = struct
   type 'v node = {
     key : K.t;
     value : 'v;
-    weight : int;
     epoch : int;  (* request epoch the entry was written under *)
     mutable prev : 'v node option;
     mutable next : 'v node option;
   }
 
-  (* Capacity is a {e weight} budget, not an entry count: entries carry a
-     caller-chosen weight (default 1) and the least recently used are
-     evicted until the total fits. Elimination results range from a
-     single clause to splinter storms of hundreds (several hundred KB
-     retained each — enough to double the program's live heap, which is
-     pure GC drag when the entries never hit), so bounding by retained
-     size rather than count is what actually bounds memory.
-
-     Each domain owns a private {e shard} of the table (DLS-backed): the
+  (* Each domain owns a private {e shard} of the table (DLS-backed): the
      hot path is exactly the single-domain doubly-linked LRU, with no
      locks and no shared mutable state. Cached results are pure functions
      of their keys, so a miss in one domain for an entry another holds
@@ -186,7 +189,6 @@ module Lru (K : Hashtbl.HashedType) = struct
      recorded generation is stale. *)
   type 'v shard = {
     tbl : 'v node H.t;
-    mutable total : int;  (* sum of live weights *)
     mutable head : 'v node option;  (* most recently used *)
     mutable tail : 'v node option;  (* least recently used *)
     mutable gen : int;  (* generation this shard last synced to *)
@@ -200,7 +202,6 @@ module Lru (K : Hashtbl.HashedType) = struct
 
   let reset_shard s =
     H.reset s.tbl;
-    s.total <- 0;
     s.head <- None;
     s.tail <- None
 
@@ -211,7 +212,6 @@ module Lru (K : Hashtbl.HashedType) = struct
       Domain.DLS.new_key (fun () ->
           {
             tbl = H.create (min cap 1024);
-            total = 0;
             head = None;
             tail = None;
             gen = Atomic.get generation;
@@ -253,7 +253,6 @@ module Lru (K : Hashtbl.HashedType) = struct
            current epoch. *)
         unlink s n;
         H.remove s.tbl n.key;
-        s.total <- s.total - n.weight;
         None
     | Some n ->
         if s.head != Some n then begin
@@ -262,108 +261,74 @@ module Lru (K : Hashtbl.HashedType) = struct
         end;
         Some n.value
 
-  let add ?(weight = 1) t k v =
+  let add t k v =
     let s = shard t in
-    let weight = if weight < 1 then 1 else weight in
-    (* An entry that could never fit would evict the whole table for
-       nothing: skip it. *)
-    if weight <= t.cap && not (H.mem s.tbl k) then begin
-      let evictions = ref 0 in
-      while s.total + weight > t.cap do
+    if not (H.mem s.tbl k) then begin
+      if H.length s.tbl >= t.cap then begin
         match s.tail with
         | Some last ->
             unlink s last;
             H.remove s.tbl last.key;
-            s.total <- s.total - last.weight;
-            incr evictions
-        | None -> s.total <- 0
-      done;
-      if !evictions > 0 then begin
-        let c = local () in
-        c.evictions <- c.evictions + !evictions
+            let c = local () in
+            c.evictions <- c.evictions + 1
+        | None -> ()
       end;
       let n =
-        {
-          key = k;
-          value = v;
-          weight;
-          epoch = current_epoch ();
-          prev = None;
-          next = None;
-        }
+        { key = k; value = v; epoch = current_epoch (); prev = None; next = None }
       in
       H.replace s.tbl k n;
-      push_front s n;
-      s.total <- s.total + weight
+      push_front s n
     end
 
   let length t = H.length (shard t).tbl
 end
 
 (* ------------------------------------------------------------------ *)
-(* Exact clause keys                                                   *)
+(* Exact, order-sensitive clause keys                                  *)
 
-(* Keys whose results mention the clause's own variables (elimination,
-   the gist minuend) must be exact. Affines are interned, so equality on
-   a hash match is a handful of pointer comparisons. *)
-module Ckey = struct
-  type t = {
-    eqs : A.t list;
-    geqs : A.t list;
-    strides : (Zint.t * A.t) list;
-    vars : V.t list;
-    salt : int;
-    h : int;
-  }
+(* A clause exactly as written: constraint lists compared in order, so
+   two clauses that differ only in constraint order are different keys.
+   Results keyed this way (redundancy removal, [Value.simplify]'s guard
+   buckets) are replayed verbatim, and those results depend on the
+   order. Nothing is sorted or interned: the hash folds the affines'
+   cached hashes, and [Affine.equal] rejects on a hash mismatch. *)
+module Exact = struct
+  type t = { clause : Clause.t; h : int }
 
   let equal a b =
-    a.h = b.h && a.salt = b.salt
-    && List.equal A.equal a.eqs b.eqs
-    && List.equal A.equal a.geqs b.geqs
+    a.h = b.h
+    && List.equal A.equal a.clause.eqs b.clause.eqs
+    && List.equal A.equal a.clause.geqs b.clause.geqs
     && List.equal
          (fun (m1, e1) (m2, e2) -> Zint.equal m1 m2 && A.equal e1 e2)
-         a.strides b.strides
-    && List.equal V.equal a.vars b.vars
+         a.clause.strides b.clause.strides
+    && V.Set.equal a.clause.wilds b.clause.wilds
 
   let hash k = k.h
 
-  let cmp_stride (m1, e1) (m2, e2) =
-    let c = Zint.compare m1 m2 in
-    if c <> 0 then c else A.compare e1 e2
-
-  let make ?(salt = 0) ?(vars = []) ~eqs ~geqs ~strides () =
-    let eqs = List.sort A.compare (List.map A.intern eqs) in
-    let geqs = List.sort A.compare (List.map A.intern geqs) in
-    let strides =
-      List.sort cmp_stride (List.map (fun (m, e) -> (m, A.intern e)) strides)
-    in
+  let of_clause (c : Clause.t) =
     let mix h x = (h * 65599) + x in
     let h =
-      List.fold_left (fun h e -> mix h (A.hash e)) salt eqs |> fun h ->
-      List.fold_left (fun h e -> mix h (A.hash e)) (mix h 17) geqs |> fun h ->
+      List.fold_left (fun h e -> mix h (A.hash e)) 0 c.eqs |> fun h ->
+      List.fold_left (fun h e -> mix h (A.hash e)) (mix h 17) c.geqs
+      |> fun h ->
       List.fold_left
         (fun h (m, e) -> mix (mix h (Zint.hash m)) (A.hash e))
-        (mix h 23) strides
-      |> fun h ->
-      List.fold_left (fun h v -> mix h (V.hash v)) (mix h 31) vars land max_int
+        (mix h 23) c.strides
+      |> fun h -> V.Set.fold (fun v h -> mix h (V.hash v)) c.wilds (mix h 31)
     in
-    { eqs; geqs; strides; vars; salt; h }
-
-  let of_clause ?salt ?(vars = []) (c : Clause.t) =
-    make ?salt
-      ~vars:(vars @ V.Set.elements c.wilds)
-      ~eqs:c.eqs ~geqs:c.geqs ~strides:c.strides ()
+    { clause = c; h = h land max_int }
 end
 
 (* ------------------------------------------------------------------ *)
 (* Canonical (rank-renamed) clause keys                                *)
 
 (* Keys for queries whose answers are invariant under renaming some of
-   the clause's variables: feasibility (all variables existential) and
-   the gist context (wildcards renamed by [Gist.gist] itself). Renamed
-   variables are abstracted to their rank in ascending {!V.compare}
-   order, directly on the coefficient structure — no affine or clause is
-   built, which keeps the per-query cost a few list allocations.
+   the clause's variables: feasibility treats every variable as
+   existential. Renamed variables are abstracted to their rank in
+   ascending {!V.compare} order, directly on the coefficient structure —
+   no affine or clause is built, which keeps the per-query cost a few
+   list allocations.
 
    Canonicalization is best-effort: a renaming that permutes the
    {!V.compare} order maps to a different key, which only costs a missed
@@ -480,8 +445,3 @@ end
 (* Feasibility treats every variable as existentially quantified, so the
    key abstracts all variable names. *)
 let feas_key (c : Clause.t) = Fkey.encode (Clause.all_vars c) c
-
-(* Gist conjoins [given] after renaming its wildcards, so only the
-   structure of [given] up to wildcard names matters. *)
-let wilds_canonical_key (c : Clause.t) =
-  Fkey.encode (V.Set.inter c.wilds (Clause.all_vars c)) c

@@ -2,24 +2,28 @@
 
     The Omega test re-solves the same subproblems constantly: splintering,
     bound splitting and DNF conversion generate clauses that differ only by
-    wildcard renaming, and the counting recursion calls feasibility and
-    [gist] on near-identical conjunctions thousands of times. All three hot
-    entry points ({!Solve.is_feasible}, {!Solve.eliminate}, {!Gist.gist})
+    wildcard renaming, and the counting recursion asks for feasibility and
+    redundancy removal on the same conjunctions thousands of times. Both
+    cached entry points ({!Solve.is_feasible}, {!Gist.remove_redundant})
     are pure, so cached results are exact and never invalidated; this
-    module provides the bounded LRU tables they use, canonical key
-    construction on top of hash-consed {!Presburger.Affine} terms, and the
-    global hit/miss counters read by the instrumentation layer
-    ([Counting.Instr]). *)
+    module provides the bounded LRU tables they use, the two key schemes,
+    and the global query/hit counters read by the instrumentation layer
+    ([Counting.Instr]). Elimination and [gist] are not cached: their
+    measured hit rates did not pay for the memory the entries held. *)
 
 (** {1 Counters} *)
 
 type counters = {
   mutable feas_queries : int;
   mutable feas_hits : int;
-  mutable elim_queries : int;
+  mutable elim_queries : int;  (** {!Solve.eliminate} calls *)
   mutable elim_hits : int;
-  mutable gist_queries : int;
-  mutable gist_hits : int;
+      (** always 0: elimination is not cached (kept so reports that read
+          the field keep their shape) *)
+  mutable gist_queries : int;  (** {!Gist.gist} calls *)
+  mutable gist_hits : int;  (** always 0: [gist] is not cached *)
+  mutable redundant_queries : int;  (** {!Gist.remove_redundant} calls *)
+  mutable redundant_hits : int;
   mutable eliminations : int;
       (** elimination bodies actually executed (shadow eliminations and
           scale-and-substitute steps); cache hits skip the work and do not
@@ -81,10 +85,7 @@ val set_epoch : int -> unit
 (** {1 Bounded LRU tables}
 
     Classic doubly-linked-list LRU over [Hashtbl.Make]. Tables register
-    themselves with {!clear_all} on creation. Capacity is a {e weight}
-    budget: [add ~weight] (default 1) lets callers bound the retained
-    {e size} of cached values — essential for elimination results, whose
-    splinter lists can each retain hundreds of KB.
+    themselves with {!clear_all} on creation.
 
     Every domain owns a private shard (domain-local storage), so lookups
     and inserts take no locks; entries are pure functions of their keys,
@@ -94,15 +95,15 @@ val set_epoch : int -> unit
 module Lru (K : Hashtbl.HashedType) : sig
   type 'v t
 
-  (** [create cap]: [cap] is the maximum total weight. *)
+  (** [create cap]: [cap] is the maximum number of entries per domain
+      shard. *)
   val create : int -> 'v t
 
   val find_opt : 'v t -> K.t -> 'v option
 
-  (** Insert (no-op if present), evicting least-recently-used entries
-      until the total weight fits; an entry heavier than the whole
-      budget is not cached at all. *)
-  val add : ?weight:int -> 'v t -> K.t -> 'v -> unit
+  (** Insert (no-op if present), evicting the least recently used entry
+      when the shard is full. *)
+  val add : 'v t -> K.t -> 'v -> unit
 
   val clear : 'v t -> unit
   val length : 'v t -> int
@@ -110,31 +111,19 @@ end
 
 (** {1 Exact clause keys} *)
 
-module Ckey : sig
-  (** An exact key: constraint lists sorted by the structural affine
-      order, affines interned ({!Presburger.Affine.intern}) so equality
-      on a hash match is pointer comparison, hash precomputed from the
-      cached affine hashes. [salt] distinguishes caches sharing a key
-      type (e.g. elimination modes); [vars] carries variable identity
-      when it matters (wildcard sets, the eliminated variable). Used
-      where the cached result mentions the clause's own variables. *)
+module Exact : sig
+  (** A clause exactly as written: [eqs], [geqs] and [strides] compared
+      in order with {!Presburger.Affine.equal}, the wildcard set with
+      [Var.Set.equal]; the hash is built from the cached affine hashes.
+      Two clauses that differ only in constraint order get different
+      keys. Used where the cached result is replayed verbatim and
+      depends on the order: {!Gist.remove_redundant}'s table and
+      [Value.simplify]'s guard buckets. *)
   type t
 
   val equal : t -> t -> bool
   val hash : t -> int
-
-  val make :
-    ?salt:int ->
-    ?vars:Presburger.Var.t list ->
-    eqs:Presburger.Affine.t list ->
-    geqs:Presburger.Affine.t list ->
-    strides:(Zint.t * Presburger.Affine.t) list ->
-    unit ->
-    t
-
-  (** Exact-structure key: constraints plus the clause's wildcard set (and
-      any extra [vars]), unrenamed. *)
-  val of_clause : ?salt:int -> ?vars:Presburger.Var.t list -> Clause.t -> t
+  val of_clause : Clause.t -> t
 end
 
 (** {1 Canonical (rank-renamed) clause keys} *)
@@ -157,7 +146,3 @@ end
 (** Key for feasibility queries: every variable is existentially
     quantified, so all variables are rank-abstracted. *)
 val feas_key : Clause.t -> Fkey.t
-
-(** Key abstracting only the clause's wildcard names (used for the [given]
-    side of [gist], which renames wildcards itself). *)
-val wilds_canonical_key : Clause.t -> Fkey.t

@@ -326,7 +326,10 @@ let eliminate_core mode v (c : Clause.t) : Clause.t list =
           dark_clause :: List.rev !outputs
   end
 
-let eliminate_uncached mode v c =
+let eliminate_counted mode v c =
+  Obs.Budget.charge 1;
+  let mc = Memo.local () in
+  mc.elim_queries <- mc.elim_queries + 1;
   let r = eliminate_core mode v c in
   let fan_out = List.length r in
   Obs.Budget.check_fanout fan_out;
@@ -344,47 +347,6 @@ let eliminate_uncached mode v c =
   | _ -> ());
   r
 
-module ElimTbl = Memo.Lru (Memo.Ckey)
-
-let elim_cache : Clause.t list ElimTbl.t = ElimTbl.create 8192
-
-let mode_tag = function
-  | Exact_overlapping -> 0
-  | Exact_disjoint -> 1
-  | Approx_dark -> 2
-  | Approx_real -> 3
-
-let eliminate_memo mode v (c : Clause.t) : Clause.t list =
-  (* Charged before the cache lookup, so the fuel a query consumes does
-     not depend on cache warmth. *)
-  Obs.Budget.charge 1;
-  let mc = Memo.local () in
-  mc.elim_queries <- mc.elim_queries + 1;
-  if not (Memo.enabled ()) then eliminate_uncached mode v c
-  else begin
-    (* Armed (pre-filter-clamped) and unarmed eliminations of the same
-       clause produce different (though equivalent-after-filtering)
-       splinter lists, so they must never share a cache entry: the armed
-       bit is part of the salt. *)
-    let salt =
-      mode_tag mode lor if Prefilter.armed () then 4 else 0
-    in
-    let key = Memo.Ckey.of_clause ~salt ~vars:[ v ] c in
-    match ElimTbl.find_opt elim_cache key with
-    | Some r ->
-        mc.elim_hits <- mc.elim_hits + 1;
-        if Obs.Trace.enabled () then
-          Obs.Trace.add_attr "memo" (Obs.Trace.Str "hit");
-        r
-    | None ->
-        let r = eliminate_uncached mode v c in
-        let w = List.fold_left (fun acc cl -> acc + Clause.size cl) 0 r in
-        ElimTbl.add ~weight:w elim_cache key r;
-        if Obs.Trace.enabled () then
-          Obs.Trace.add_attr "memo" (Obs.Trace.Str "miss");
-        r
-  end
-
 let eliminate mode v (c : Clause.t) : Clause.t list =
   check_no_eq_occurrence v c;
   (* Guarded span: the disabled path must not even build the closure for
@@ -397,8 +359,8 @@ let eliminate mode v (c : Clause.t) : Clause.t list =
           ("mode", Obs.Trace.Str (mode_name mode));
           ("constraints", Obs.Trace.Int (Clause.size c));
         ])
-      (fun () -> eliminate_memo mode v c)
-  else eliminate_memo mode v c
+      (fun () -> eliminate_counted mode v c)
+  else eliminate_counted mode v c
 
 (* Wildcard-occurrence classification used by the reduction loop. *)
 let wild_occurrences (c : Clause.t) =

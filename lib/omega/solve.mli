@@ -11,9 +11,10 @@
     - {e splinters} cover the gap: clauses that still contain [v] but pin
       it with an equality, so it can be eliminated exactly.
 
-    {!eliminate} and the feasibility recursion are memoized through the
-    bounded LRU tables of {!Memo} (both are pure, so entries are never
-    invalidated); disable globally with [Memo.set_enabled false]. *)
+    The feasibility recursion is memoized through a bounded LRU table of
+    {!Memo} (it is pure, so entries are never invalidated); disable
+    globally with [Memo.set_enabled false]. {!eliminate} is not cached:
+    its splinter lists rarely recur, and holding them grew the heap. *)
 
 (** How to treat the integer-projection gap. *)
 type mode =

@@ -221,6 +221,58 @@ let test_remove_redundant () =
        (C.make ~geqs:[ A.add_const ai (z (-3)); A.sub (k 1) ai ] ())
     = None)
 
+(* The redundancy-removal memo: keyed on the clause exactly as written,
+   emptied by [Memo.clear_all], scoped to the request epoch, and never
+   able to change a result. *)
+let test_remove_redundant_memo () =
+  let geqs =
+    [ ai; A.add_const ai (z 5); A.sub an ai; A.sub (A.add_const an (z 3)) ai ]
+  in
+  let c = C.make ~geqs () in
+  let reordered = C.make ~geqs:(List.rev geqs) () in
+  let render r = Option.fold ~none:"infeasible" ~some:C.to_string r in
+  let run c =
+    let before = Omega.Memo.snapshot () in
+    let r = render (Omega.Gist.remove_redundant c) in
+    let d = Omega.Memo.diff (Omega.Memo.snapshot ()) before in
+    Alcotest.(check int) "one query" 1 d.redundant_queries;
+    (r, d.redundant_hits = 1)
+  in
+  let expect what ~hit c =
+    let r, was_hit = run c in
+    Alcotest.(check bool) what hit was_hit;
+    r
+  in
+  Omega.Memo.clear_all ();
+  let cold = expect "cold lookup misses" ~hit:false c in
+  let warm = expect "repeat hits" ~hit:true c in
+  Alcotest.(check string) "hit returns the computed result" cold warm;
+  (* constraint order is part of the key: a second entry, not a hit *)
+  ignore (expect "reordered clause misses" ~hit:false reordered);
+  ignore (expect "reordered clause now hits" ~hit:true reordered);
+  ignore (expect "original entry still there" ~hit:true c);
+  Omega.Memo.clear_all ();
+  ignore (expect "clear_all empties the table" ~hit:false c);
+  let epoch = Omega.Memo.current_epoch () in
+  Fun.protect
+    ~finally:(fun () -> Omega.Memo.set_epoch epoch)
+    (fun () ->
+      Omega.Memo.set_epoch (epoch + 1);
+      ignore (expect "another epoch misses" ~hit:false c));
+  Omega.Memo.set_enabled false;
+  let off =
+    Fun.protect
+      ~finally:(fun () -> Omega.Memo.set_enabled true)
+      (fun () ->
+        ignore (expect "memo off computes" ~hit:false c);
+        expect "memo off never hits" ~hit:false c)
+  in
+  Alcotest.(check string) "memo on and off agree" cold off;
+  let infeasible = C.make ~geqs:[ A.add_const ai (z (-3)); A.sub (k 1) ai ] () in
+  ignore (expect "infeasible cold" ~hit:false infeasible);
+  Alcotest.(check string) "cached infeasibility" "infeasible"
+    (expect "infeasible hit" ~hit:true infeasible)
+
 let test_disjoint_conversion () =
   (* Two overlapping boxes: [1,6] and [4,10]. *)
   let box lo hi = C.make ~geqs:[ A.sub ai (k lo); A.sub (k hi) ai ] () in
@@ -367,6 +419,8 @@ let suite =
       Alcotest.test_case "gist" `Quick test_gist;
       Alcotest.test_case "implies" `Quick test_implies;
       Alcotest.test_case "remove_redundant" `Quick test_remove_redundant;
+      Alcotest.test_case "remove_redundant memo" `Quick
+        test_remove_redundant_memo;
       Alcotest.test_case "disjoint conversion" `Quick test_disjoint_conversion;
       Alcotest.test_case "uniformly generated set (5.1)" `Quick
         test_uniformly_generated;

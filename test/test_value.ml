@@ -49,6 +49,106 @@ let test_value_simplify () =
   Alcotest.(check int) "merged" 1
     (List.length (Counting.Value.simplify both))
 
+(* The per-piece [Value.simplify] that guard grouping replaced, kept as
+   the reference: every piece runs normalize → feasibility → redundancy
+   removal → printing, and pieces fold by the printed guard. *)
+let reference_simplify (v : Counting.Value.t) : Counting.Value.t =
+  let tbl = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun (p : Counting.Value.piece) ->
+      match C.normalize p.guard with
+      | None ->
+          if Cert.armed () then
+            Cert.record_refuted Cert.Simplify (C.snapshot p.guard)
+      | Some g ->
+          if Omega.Solve.is_feasible g then begin
+            let g =
+              match Omega.Gist.remove_redundant g with Some g -> g | None -> g
+            in
+            let key = C.to_string g in
+            match Hashtbl.find_opt tbl key with
+            | Some (g0, acc) ->
+                Hashtbl.replace tbl key (g0, Qpoly.add acc p.value)
+            | None ->
+                order := key :: !order;
+                Hashtbl.replace tbl key (g, p.value)
+          end
+          else if Cert.armed () then
+            Cert.record_refuted Cert.Simplify (C.snapshot g))
+    v;
+  List.rev !order
+  |> List.filter_map (fun key ->
+         let g, value = Hashtbl.find tbl key in
+         if Qpoly.is_zero value then None
+         else Some { Counting.Value.guard = g; value })
+
+(* Piece lists built from the differential generator's DNF clauses, with
+   the shapes grouping must get right: guards repeated verbatim,
+   constraint lists reordered (a different raw guard that may print the
+   same once reduced), infeasible guards (caught by [normalize] or only
+   by the solver), and values that cancel to zero. *)
+let gen_pieces seed =
+  let st = Random.State.make [| 0x9a7d; seed |] in
+  let clauses s =
+    let case = Test_differential.gen_case s in
+    Omega.Dnf.of_formula case.Test_differential.formula
+  in
+  let base =
+    List.concat_map clauses (List.init 3 (fun _ -> Random.State.int st 300))
+  in
+  let base = if base = [] then [ C.top ] else base in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let reorder (c : C.t) =
+    { c with geqs = List.rev c.geqs; eqs = List.rev c.eqs; strides = List.rev c.strides }
+  in
+  let guard () =
+    match Random.State.int st 6 with
+    | 0 -> reorder (pick base)
+    | 1 -> { (pick base) with geqs = k (-1) :: (pick base).geqs }
+    | 2 -> C.conjoin (pick base) (C.rename_wilds (pick base))
+    | _ -> pick base
+  in
+  let value () =
+    match Random.State.int st 4 with
+    | 0 -> Qpoly.of_int (1 + Random.State.int st 3)
+    | 1 -> Qpoly.var "n"
+    | 2 -> Qpoly.var (pick [ "x"; "y"; "z" ])
+    | _ -> Qpoly.of_ints (Random.State.int st 5 - 2) 3
+  in
+  let guards = List.init (1 + Random.State.int st 4) (fun _ -> guard ()) in
+  List.concat
+    (List.init (1 + Random.State.int st 12) (fun _ ->
+         let g = pick guards in
+         let v = value () in
+         if Random.State.int st 4 = 0 then
+           Counting.Value.add (Counting.Value.piece g v)
+             (Counting.Value.piece (pick guards) (Qpoly.neg v))
+         else Counting.Value.piece g v))
+
+let render_events events =
+  List.map
+    (function
+      | Cert.Refuted (site, s) ->
+          Cert.site_name site ^ " " ^ Obs.Ojson.render (Cert.clause_json s)
+      | Cert.Counted _ -> "counted")
+    events
+
+let prop_grouped_simplify =
+  QCheck.Test.make ~name:"grouped simplify = per-piece simplify" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let pieces = gen_pieces seed in
+      let run f =
+        let v, events, dropped = Cert.with_recording (fun () -> f pieces) in
+        (Counting.Value.to_string v, render_events events, dropped)
+      in
+      let ((grouped, _, _) as g) = run Counting.Value.simplify in
+      let ((reference, _, _) as r) = run reference_simplify in
+      if g <> r then
+        QCheck.Test.fail_reportf "grouped %s@.reference %s" grouped reference;
+      true)
+
 let test_eval_zint_rejects_fractional () =
   let p = Counting.Value.piece C.top (Qpoly.of_ints 1 2) in
   Alcotest.(check bool) "raises" true
@@ -158,6 +258,7 @@ let suite =
     [
       Alcotest.test_case "value algebra" `Quick test_value_algebra;
       Alcotest.test_case "value simplify" `Quick test_value_simplify;
+      QCheck_alcotest.to_alcotest prop_grouped_simplify;
       Alcotest.test_case "eval_zint fractional" `Quick test_eval_zint_rejects_fractional;
       Alcotest.test_case "sum with equality" `Quick test_sum_with_equality;
       Alcotest.test_case "sum with stride substitution" `Quick
